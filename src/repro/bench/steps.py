@@ -168,10 +168,9 @@ def _bench_step_fpdt_small(quick: bool) -> Callable[[], None]:
 def _bench_serve_decode_tick(quick: bool) -> Callable[[], None]:
     """Decode-tick microbench: the serving engine's continuous-batching
     inner step.  Each run admits a fresh 4-request batch against the
-    *same* engine (so resident pool workers stay warm across repeats,
-    exactly the serving steady state), prefills the short prompts, and
-    drives ``decode_batch`` ticks to completion — the per-tick
-    ``rank_map`` dispatch is the cost under test."""
+    *same* engine (the serving steady state), prefills the short
+    prompts, and drives ``decode_batch`` ticks to completion — the
+    per-tick ``rank_map`` dispatch is the cost under test."""
     import itertools
 
     from repro.models import GPTModel, tiny_llama

@@ -37,7 +37,7 @@ byte accounting is identical to serial by construction), results
 travel as shared-segment descriptors or staged copies, and trace/span
 buffers merge exactly as the thread backend's do — the determinism
 contract above holds bitwise for all three backends.  Closures that
-must mutate shared Python state in place (serving's decode batch) pass
+must mutate shared Python state in place (serving's tick tasks) pass
 ``shared_state=True`` and fall back to the thread pool.
 
 The **process-pool** backend keeps the process backend's join and
@@ -45,7 +45,7 @@ shuttle protocol but forks the workers once per executor lifetime:
 sections are *shipped* to the resident workers as pickled task blobs
 over a shared-memory task board plus a length-prefixed pipe rendezvous
 (:func:`repro.runtime.shuttle.encode_task`), amortizing the per-section
-fork+teardown that dominates small steps and serving decode ticks.
+fork+teardown that dominates small steps.
 Closures the task codec cannot ship fall back to the per-section fork
 (counted in ``fallback_forks``), so the pool is never less correct than
 ``process`` — only faster when shipping succeeds.

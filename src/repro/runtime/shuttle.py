@@ -47,7 +47,6 @@ import sys
 import threading
 import types
 import weakref
-from contextlib import contextmanager
 from typing import Any
 
 import numpy as np
@@ -59,7 +58,6 @@ __all__ = [
     "ipc_watermark",
     "journal_op",
     "journal_active",
-    "journal_suspended",
     "child_begin",
     "in_child",
     "rank_begin",
@@ -147,23 +145,6 @@ def journal_op(op: tuple) -> None:
     """Append ``op`` to the active rank journal, if any."""
     if _JOURNAL is not None:
         _JOURNAL.append(op)
-
-
-@contextmanager
-def journal_suspended():
-    """Temporarily stop journaling on this process.
-
-    The pooled serving-decode path pre-syncs worker-local runtime state
-    (KV-store entries, pool allocations the worker's copy-on-write heap
-    missed) *inside* a rank section; those installs replicate parent
-    state rather than perform new work, so they must not be journaled —
-    the parent already holds them."""
-    global _JOURNAL
-    saved, _JOURNAL = _JOURNAL, None
-    try:
-        yield
-    finally:
-        _JOURNAL = saved
 
 
 def child_begin() -> None:

@@ -11,12 +11,15 @@ guarantees:
   and the logits of non-final chunks are never computed into tokens.
 * :meth:`ServingEngine.decode_step` samples one token from the last
   logits and (unless the budget is spent) runs the one-token forward
-  for the next step.  :meth:`ServingEngine.decode_batch` fans a batch
-  of independent decode steps onto the process-wide
-  :class:`~repro.runtime.executor.RankExecutor` — requests share no
-  state, so the fork-join is bitwise invisible, and fault injection
-  pins the serial path exactly like ``VirtualCluster.rank_map`` (the
-  injector's per-op draws are an ordered sequence).
+  for the next step.
+
+:meth:`ServingEngine.decode_batch` runs a whole scheduler tick of both
+— each request's planned prefill chunks, then its decode token — as
+one task per request in a single fork-join on the process-wide
+:class:`~repro.runtime.executor.RankExecutor`.  Requests share no
+state, and KV checkout/checkin happen on the calling thread around the
+join, so the fork-join is bitwise invisible: tokens, trace stream and
+pool peaks match the serial executor's on every backend.
 
 Between steps every request's KV lives host-side in the
 :class:`~repro.serving.kvstore.RequestKVStore` (set ``offload=False``
@@ -32,6 +35,7 @@ the serve-smoke CI gate replays a request mix and asserts exactly that.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
@@ -40,9 +44,8 @@ import numpy as np
 from repro.common.dtypes import DType
 from repro.models.generate import KVCache, forward_cached, sample_token
 from repro.models.transformer import GPTModel
-from repro.runtime import shuttle
 from repro.runtime.device import VirtualCluster
-from repro.runtime.executor import get_executor, rank_map
+from repro.runtime.executor import rank_map
 from repro.serving.kvstore import RequestKVStore
 from repro.serving.request import Request, RequestState
 
@@ -123,11 +126,6 @@ class ServingEngine:
         )
         self._prefill_tokens = None
         self._decode_tokens = None
-        # Engines cross the process-pool task codec by reference; the
-        # resident workers hold the same model/store/cluster graph via
-        # their fork image (the executor restarts the pool when an
-        # engine younger than the fork shows up in a task).
-        self._ipc_id = shuttle.register_ipc(self)
         if registry is not None:
             self._prefill_tokens = registry.counter(
                 "serving_prefill_tokens", "prompt tokens encoded"
@@ -176,11 +174,22 @@ class ServingEngine:
         parent = state.phase_spans.get(phase, state.span)
         return self.tracer.span(name, parent=parent, kind=phase, attrs=attrs)
 
-    def prefill_step(self, state: DecodeState) -> bool:
+    def prefill_chunks_left(self, state: DecodeState) -> int:
+        """Prompt chunks ``state`` still has to encode before it decodes."""
+        n = state.request.prompt.shape[0]
+        return -(-(n - state.prefill_pos) // (self.config.prefill_chunk or n))
+
+    def prefill_step(self, state: DecodeState, kv: KVCache | None = None) -> bool:
         """Encode the next prompt chunk; returns ``True`` when the whole
-        prompt is in the cache and the first-token logits are ready."""
-        if state.state is not RequestState.PREFILL:
-            raise RuntimeError(f"request {state.rid!r} is not in prefill")
+        prompt is in the cache and the first-token logits are ready.
+
+        ``kv`` is the request's checked-out cache, which
+        :meth:`decode_batch` hands its tasks; without it the call is a
+        one-chunk :meth:`decode_batch` that checks the cache out and back
+        in itself."""
+        if kv is None:
+            self.decode_batch([], prefill=[(state, 1)])
+            return state.state is RequestState.DECODE
         prompt = state.request.prompt[None, :]
         chunk = self.config.prefill_chunk or prompt.shape[1]
         lo = state.prefill_pos
@@ -188,12 +197,8 @@ class ServingEngine:
         with self._work_span(
             state, "prefill", f"prefill-chunk[{lo}:{hi}]", {"lo": lo, "hi": hi}
         ):
-            kv = self._checkout(state)
             logits = forward_cached(self.model, prompt[:, lo:hi], kv)
-            self._checkin(state, kv)
         state.prefill_pos = hi
-        if self._prefill_tokens is not None:
-            self._prefill_tokens.inc(hi - lo)
         if hi == prompt.shape[1]:
             state.logits = logits
             state.state = RequestState.DECODE
@@ -203,8 +208,9 @@ class ServingEngine:
     def decode_step(self, state: DecodeState) -> int:
         """Sample one token; run the next one-token forward unless the
         decode budget is now spent.  Returns the sampled token."""
-        if state.state is not RequestState.DECODE:
-            raise RuntimeError(f"request {state.rid!r} is not decoding")
+        return self.decode_batch([state])[0]
+
+    def _decode_token(self, state: DecodeState, kv: KVCache | None) -> int:
         request = state.request
         index = len(state.new_tokens)
         with self._work_span(
@@ -213,11 +219,9 @@ class ServingEngine:
             nxt = sample_token(state.logits[0], request.temperature, state.rng)
             state.new_tokens.append(nxt)
             if len(state.new_tokens) < request.max_new_tokens:
-                kv = self._checkout(state)
                 state.logits = forward_cached(
                     self.model, np.array([[nxt]], dtype=np.int64), kv
                 )
-                self._checkin(state, kv)
             else:
                 # Mirror the fixed generate() loop: no forward after the
                 # final token, so the cache never grows past the output.
@@ -225,112 +229,79 @@ class ServingEngine:
                 state.state = RequestState.DONE
         return nxt
 
-    def decode_batch(self, states: list[DecodeState]) -> list[int]:
-        """One decode token for every request in ``states`` — the
-        continuous-batching inner step.  Per-request forwards touch no
-        *cross-request* state, so they fan out on the rank executor;
-        fault injection forces the serial path (ordered per-op draws),
-        the same guard ``VirtualCluster.rank_map`` applies.
+    def decode_batch(
+        self,
+        states: list[DecodeState],
+        *,
+        prefill: Sequence[tuple[DecodeState, int]] = (),
+    ) -> list[int]:
+        """One serving tick of engine work in a single fork-join.
 
-        Two parallel routes exist.  The default closure mutates its
-        ``DecodeState`` in place, which a forked worker cannot make
-        visible, so the process backends are told to use threads
-        (``shared_state=True``).  Under the **process-pool** backend the
-        batch instead ships explicit per-request payloads (RNG state,
-        logits, KV residency) to the resident workers, which run the
-        real :meth:`decode_step` on a replica state — journal replay
-        and trace merge make that bitwise identical to the serial loop
-        (the serve equivalence tests pin it).  Fault injection and an
-        attached tracer fall back to the serial/threads routes: per-op
-        fault draws are an ordered sequence, and span parenting
-        mutates cross-request tracer state no fork can ship.
+        Each ``(state, chunks)`` in ``prefill`` encodes that many prompt
+        chunks (one :meth:`prefill_step` each); then every request in
+        ``states`` decodes one token — including a request whose planned
+        chunks finish its prompt.  Returns the tokens in ``states`` order.
+
+        Every involved request is one task on the rank executor, run
+        prefill-heaviest first so long chunk runs start before one-token
+        decodes.  KV checkout (``RequestKVStore.load``) and checkin
+        (``save``) stay on the calling thread, in plan order (``prefill``,
+        then the decode-only requests), before and after the join; the
+        serving counters move after it.  A task therefore touches only
+        its own request's KV arrays, logits, tokens and RNG — no memory
+        pool, chunk cache, trace or registry — so pool peaks, the trace
+        stream and fault-injection draws do not depend on how threads
+        interleave, and every backend takes this one route (tasks update
+        their ``DecodeState`` in place, which ``shared_state=True`` keeps
+        on threads under the process backends).
         """
-        if not states:
+        plan: dict[str, list] = {}  # rid -> [state, chunks, decodes]
+        for state, chunks in prefill:
+            if state.state is not RequestState.PREFILL:
+                raise RuntimeError(f"request {state.rid!r} is not in prefill")
+            left = self.prefill_chunks_left(state)
+            if not 0 < chunks <= left:
+                raise ValueError(
+                    f"request {state.rid!r} has {left} prompt chunks left, "
+                    f"cannot encode {chunks}"
+                )
+            plan[state.rid] = [state, chunks, False]
+        for state in states:
+            entry = plan.setdefault(state.rid, [state, 0, False])
+            finishes = entry[1] and entry[1] == self.prefill_chunks_left(state)
+            if state.state is not RequestState.DECODE and not finishes:
+                raise RuntimeError(f"request {state.rid!r} is not decoding")
+            entry[2] = True
+        tasks = list(plan.values())
+        if not tasks:
             return []
-        ex = get_executor()
-        if (
-            ex.backend == "process-pool"
-            and ex.parallel
-            and len(states) > 1
-            and self.tracer is None
-            and self.cluster.fault_injector is None
-        ):
-            tokens = self._decode_batch_pooled(states)
-        else:
-            tokens = rank_map(
-                lambda i: self.decode_step(states[i]),
-                len(states),
-                trace=self.cluster.trace,
-                force_serial=self.cluster.fault_injector is not None,
-                shared_state=True,
+        kvs = [
+            self._checkout(state)
+            if chunks or len(state.new_tokens) + 1 < state.request.max_new_tokens
+            else None  # final token only: no forward, the cache stays put
+            for state, chunks, _ in tasks
+        ]
+        start = sum(state.prefill_pos for state, _, _ in tasks)
+        runs = sorted(zip(tasks, kvs), key=lambda run: -run[0][1])
+
+        def task(r: int) -> int | None:
+            (state, chunks, decodes), kv = runs[r]
+            for _ in range(chunks):
+                self.prefill_step(state, kv)
+            return self._decode_token(state, kv) if decodes else None
+
+        out = rank_map(task, len(runs), trace=self.cluster.trace, shared_state=True)
+        for (state, _, _), kv in zip(tasks, kvs):
+            if kv is not None:
+                self._checkin(state, kv)
+        if self._prefill_tokens is not None:
+            self._prefill_tokens.inc(
+                sum(state.prefill_pos for state, _, _ in tasks) - start
             )
         if self._decode_tokens is not None:
             self._decode_tokens.inc(len(states))
-        return tokens
-
-    def _decode_batch_pooled(self, states: list[DecodeState]) -> list[int]:
-        """Process-pool decode: explicit payload rendezvous.
-
-        Batch membership is not rank-stable across ticks (requests
-        finish and join), so a worker's fork image cannot be trusted to
-        hold any request's *current* state.  Each tick therefore ships,
-        per request, everything :meth:`decode_step` reads: the request,
-        the RNG bit-generator state, the last logits, the token count,
-        and the KV residency (host cache entries + store metadata when
-        offloading, the inline :class:`KVCache` otherwise).  The worker
-        presyncs a replica and runs the *real* ``decode_step``, so its
-        journal and trace buffer are op-for-op what the serial loop
-        produces; the join replays pool/cache accounting in rank order
-        and this method applies the returned per-request updates.
-        """
-        payloads = [self._pooled_decode_payload(state) for state in states]
-        updates = rank_map(
-            lambda i: _run_decode_payload(self, payloads[i]),
-            len(states),
-            trace=self.cluster.trace,
-        )
-        tokens = []
-        for state, update in zip(states, updates):
-            state.new_tokens.append(update["token"])
-            state.logits = update["logits"]
-            state.rng.bit_generator.state = update["rng_state"]
-            state.state = update["state"]
-            if self.config.offload:
-                # The replayed journal already moved the cache entries
-                # and pool bytes; only the store's rid -> (offset, total)
-                # metadata is engine-side state to carry over.
-                self.store._meta.pop(state.rid, None)
-                if update["meta"] is not None:
-                    self.store._meta[state.rid] = update["meta"]
-            else:
-                state.kv = update["kv"]
-            tokens.append(update["token"])
-        return tokens
-
-    def _pooled_decode_payload(self, state: DecodeState) -> dict:
-        """Everything a pool worker needs to replicate ``state``."""
-        payload = {
-            "request": state.request,
-            "rng_state": state.rng.bit_generator.state,
-            "logits": state.logits,
-            "new_tokens": list(state.new_tokens),
-            "state": state.state,
-            "meta": None,
-            "entries": None,
-            "kv": None,
-        }
-        if self.config.offload:
-            if state.rid in self.store:
-                payload["meta"] = self.store._meta[state.rid]
-                entries = []
-                for layer in range(self.store.num_layers):
-                    for kind in ("k", "v"):
-                        key = (state.rid, layer, kind)
-                        entries.append((key, *self.store.cache._store[key]))
-                payload["entries"] = entries
-        else:
-            payload["kv"] = state.kv
-        return payload
+        tokens = {run[0][0].rid: token for run, token in zip(runs, out)}
+        return [tokens[state.rid] for state in states]
 
     def finish(self, state: DecodeState) -> None:
         """Release a completed (or cancelled) request's KV residency."""
@@ -362,50 +333,3 @@ class ServingEngine:
     def _checkin(self, state: DecodeState, kv: KVCache) -> None:
         if self.config.offload:
             self.store.save(state.rid, kv)
-
-
-def _run_decode_payload(engine: ServingEngine, payload: dict) -> dict:
-    """One pooled decode step, executed inside a rank closure.
-
-    Presync installs the payload's KV residency into the (worker-side)
-    store without journaling or trace traffic — it is reconstruction of
-    parent state, not work — then the real :meth:`ServingEngine
-    .decode_step` runs on a replica :class:`DecodeState` with journaling
-    and trace buffering active, so everything that crosses back to the
-    parent (journal ops, trace events, this update dict) is exactly what
-    the serial loop would have produced.  Runs correctly in every
-    execution mode: in a pool worker, in a per-section fork (the
-    fallback), and inline in the parent (world of one), where the
-    presync writes are no-ops over the parent's own objects.
-    """
-    store = engine.store
-    request = payload["request"]
-    with shuttle.journal_suspended():
-        if payload["entries"] is not None:
-            host_pool = engine.cluster.host.pool
-            for key, data, dtype, alloc in payload["entries"]:
-                store.cache._store[key] = (data, dtype, alloc)
-                shuttle._install_allocation(host_pool, alloc)
-            store._meta[request.rid] = payload["meta"]
-    # Cheap fixed-seed construction — the state assignment replaces the
-    # seed entirely (default_rng() would burn ~0.1ms on OS entropy).
-    rng = np.random.Generator(np.random.PCG64(0))
-    rng.bit_generator.state = payload["rng_state"]
-    replica = DecodeState(
-        request=request,
-        state=payload["state"],
-        rng=rng,
-        logits=payload["logits"],
-        new_tokens=list(payload["new_tokens"]),
-        kv=payload["kv"],
-    )
-    token = engine.decode_step(replica)
-    offload = engine.config.offload
-    return {
-        "token": token,
-        "logits": replica.logits,
-        "rng_state": replica.rng.bit_generator.state,
-        "state": replica.state,
-        "meta": store._meta.get(request.rid) if offload else None,
-        "kv": None if offload else replica.kv,
-    }

@@ -135,6 +135,8 @@ class ServeReport:
     decode_tokens: int
     h2d_bytes: int
     d2h_bytes: int
+    peak_hbm_bytes: int
+    peak_host_bytes: int
     verified: int
     mismatched: int
     fault_stats: dict | None = None
@@ -162,6 +164,8 @@ class ServeReport:
             f"({self.decode_tokens} decoded, {self.prefill_tokens} prefilled)",
             f"kv traffic      {self.h2d_bytes / 1e6:.1f} MB h2d, "
             f"{self.d2h_bytes / 1e6:.1f} MB d2h",
+            f"pool peaks      {self.peak_hbm_bytes} B hbm, "
+            f"{self.peak_host_bytes} B host",
             f"verification    {self.verified} checked, {self.mismatched} mismatched",
         ]
         if self.fault_stats is not None:
@@ -354,6 +358,8 @@ def run_load(
         decode_tokens=decode_tokens,
         h2d_bytes=h2d,
         d2h_bytes=d2h,
+        peak_hbm_bytes=cluster.peak_hbm(),
+        peak_host_bytes=cluster.host.pool.peak,
         verified=len(to_check),
         mismatched=mismatched,
         fault_stats=injector.stats() if injector is not None else None,

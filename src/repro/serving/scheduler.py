@@ -12,8 +12,12 @@ time; a tick interleaves the three kinds of work a serving node juggles:
    the highest-effective-priority prefilling requests first.  Bounding
    chunks (not requests) keeps time-to-first-token flat for short
    prompts even while a long-tail prompt is streaming in.
-3. **decode** — one token for every decoding request (optionally capped)
-   through :meth:`~repro.serving.engine.ServingEngine.decode_batch`.
+3. **decode** — one token for every decoding request (optionally capped),
+   including requests whose prefill finishes this tick.
+
+Prefill and decode are planned up front and run as one engine call,
+:meth:`~repro.serving.engine.ServingEngine.decode_batch`: one fork-join
+per tick, with each request's chunks and token as one task.
 
 Everything is deterministic: orderings tie-break on submission sequence
 numbers, and the only randomness (sampling) is per-request seeded.  Two
@@ -211,8 +215,7 @@ class Scheduler:
 
     def _run_phases(self) -> None:
         self._admit()
-        self._prefill()
-        self._decode()
+        self._step()
         self._complete()
 
     def run_until_idle(self, *, max_ticks: int = 1_000_000) -> int:
@@ -284,53 +287,66 @@ class Scheduler:
             if state.state is RequestState.PREFILL
         ]
 
-    def _prefill(self) -> None:
-        budget = self.config.prefill_chunks_per_tick
-        while budget > 0:
-            pending = self._prefill_order()
-            if not pending:
-                return
-            # Round-robin one chunk per request per pass, priority-first:
-            # a long-tail prompt streams in without monopolizing the tick.
-            for state in pending:
-                if budget == 0:
-                    return
-                done = self.engine.prefill_step(state)
-                budget -= 1
-                self.log.append((self.tick_index, "prefill", state.rid))
-                if done:
-                    state.prefill_done_tick = self.tick_index
-                    if self._tracer is not None and state.span is not None:
-                        prefill_span = state.phase_spans.pop("prefill", None)
-                        if prefill_span is not None:
-                            self._tracer.end_span(
-                                prefill_span, end=self.tick_index
-                            )
-                        state.span.attrs["prefill_done_tick"] = self.tick_index
-                        state.phase_spans["decode"] = self._tracer.start_span(
-                            "decode",
-                            parent=state.span,
-                            kind="phase",
-                            start=self.tick_index,
-                        )
+    def _step(self) -> None:
+        """Plan the tick's prefill and decode work, run it as one engine
+        call, then book the outcome.
 
-    def _decode(self) -> None:
+        The prefill plan replays the round-robin up front — one chunk
+        per request per pass, priority-first, so a long-tail prompt
+        streams in without monopolizing the tick.  That is exact because
+        priorities are fixed within a tick and whether a request
+        finishes prefill depends only on its ``prefill_pos``.  Requests
+        the plan finishes decode their first token in the same tick."""
+        budget = self.config.prefill_chunks_per_tick
+        prefilling = self._prefill_order()
+        left = {s.rid: self.engine.prefill_chunks_left(s) for s in prefilling}
+        chunks = dict.fromkeys(left, 0)
+        passes: list[DecodeState] = []  # one entry per planned chunk
+        pending = prefilling
+        while budget and pending:
+            for state in pending[:budget]:
+                chunks[state.rid] += 1
+                passes.append(state)
+            budget -= min(budget, len(pending))
+            pending = [s for s in pending if chunks[s.rid] < left[s.rid]]
+        finishing = [s for s in prefilling if chunks[s.rid] == left[s.rid]]
+        ready = {s.rid for s in finishing}
         decoding = [
             state
             for state, seq in sorted(self._live.values(), key=lambda item: item[1])
-            if state.state is RequestState.DECODE
+            if state.state is RequestState.DECODE or state.rid in ready
         ]
         cap = self.config.decode_batch
         if cap is not None:
             decoding = decoding[:cap]
-        if not decoding:
-            return
-        self.engine.decode_batch(decoding)
+        tracing = self._tracer is not None
+        if tracing:
+            # Open decode phases before the join so a first token decoded
+            # in its prefill's tick nests under "decode"; prefill phases
+            # close after it, once their last chunk span is in.
+            for state in finishing:
+                if state.span is not None:
+                    state.phase_spans["decode"] = self._tracer.start_span(
+                        "decode", parent=state.span, kind="phase",
+                        start=self.tick_index,
+                    )
+        plan = [(s, chunks[s.rid]) for s in prefilling if chunks[s.rid]]
+        if plan or decoding:
+            self.engine.decode_batch(decoding, prefill=plan)
+        for state in passes:
+            self.log.append((self.tick_index, "prefill", state.rid))
+        for state in finishing:
+            state.prefill_done_tick = self.tick_index
+            if tracing and state.span is not None:
+                prefill_span = state.phase_spans.pop("prefill", None)
+                if prefill_span is not None:
+                    self._tracer.end_span(prefill_span, end=self.tick_index)
+                state.span.attrs["prefill_done_tick"] = self.tick_index
         for state in decoding:
             if state.first_token_tick is None:
                 state.first_token_tick = self.tick_index
                 self.log.append((self.tick_index, "first_token", state.rid))
-                if self._tracer is not None and state.span is not None:
+                if tracing and state.span is not None:
                     state.span.attrs["first_token_tick"] = self.tick_index
                 if self._metrics is not None:
                     self._metrics["ttft"].observe(

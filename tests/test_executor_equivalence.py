@@ -283,15 +283,20 @@ def test_process_and_threads_agree_with_each_other():
 
 
 # ---------------------------------------------------------------------------
-# Serving decode on the pool: continuous batching stays bitwise
+# Serving on the parallel backends: continuous batching stays bitwise
 # ---------------------------------------------------------------------------
+
+SERVING_BACKENDS = [
+    pytest.param("threads", id="threads"),
+    pytest.param("process-pool", id="process-pool", marks=needs_fork),
+]
 
 
 def _run_serving(workers: int, backend: str | None, offload: bool):
     """One serving episode: five staggered requests, prefill each, then
     continuous-batching decode ticks until all complete.  Staggered
     ``max_new_tokens`` means the live batch shrinks tick by tick — the
-    membership-shifting regime the pooled decode protocol must survive."""
+    membership-shifting regime the decode batcher must survive."""
     from repro.serving.engine import EngineConfig, ServingEngine
     from repro.serving.request import Request, RequestState
 
@@ -331,29 +336,94 @@ def _run_serving(workers: int, backend: str | None, offload: bool):
     return outputs, events, peaks
 
 
-@needs_fork
-@pytest.mark.parametrize("offload", [False, True], ids=["inline-kv", "offload-kv"])
-def test_serving_decode_on_the_pool_matches_serial(offload):
-    """The decode batcher's pooled path (explicit KV-residency payloads,
-    replica decode in resident workers, journal-replayed joins) must
-    produce the serial engine's exact tokens, trace stream, and pool
-    peaks — for both KV-offload modes."""
+@pytest.mark.parametrize(
+    "backend,offload",
+    [
+        pytest.param("process-pool", False, id="inline-kv", marks=needs_fork),
+        pytest.param("process-pool", True, id="offload-kv", marks=needs_fork),
+        pytest.param("threads", False, id="threads-inline-kv"),
+        pytest.param("threads", True, id="threads-offload-kv"),
+    ],
+)
+def test_serving_decode_on_the_pool_matches_serial(backend, offload):
+    """The decode batcher at four workers must produce the serial
+    engine's exact tokens, trace stream, and pool peaks — for both
+    KV-offload modes."""
     serial = _run_serving(workers=1, backend=None, offload=offload)
-    pooled = _run_serving(workers=4, backend="process-pool", offload=offload)
-    assert pooled[0] == serial[0]
-    assert pooled[1] == serial[1]
-    assert pooled[2] == serial[2]
+    parallel = _run_serving(workers=4, backend=backend, offload=offload)
+    assert parallel[0] == serial[0]
+    assert parallel[1] == serial[1]
+    assert parallel[2] == serial[2]
 
 
-@needs_fork
-def test_serving_loadgen_on_the_pool_matches_serial():
-    """Regression: the full scheduler/load-generator path (admission,
-    chunked prefill, decode batches reshuffling over many ticks) drives
-    alloc-id ranges far enough that parent-born cache allocations
-    numerically collide with stale per-worker alloc-map keys.  The
-    journal's parent-born flag keeps replay from mistranslating those
-    frees; without it this replay dies with a ``KeyError`` in the pool
-    accounting."""
+def _run_scheduler(workers: int, backend: str | None):
+    """A scheduler episode whose ticks mix every kind of engine work:
+    prompts spanning several chunks, several chunks per tick, requests
+    that finish prefill and decode in the same tick, and a decode cap
+    that holds some first tokens back."""
+    from repro.serving import (
+        EngineConfig, Request, Scheduler, SchedulerConfig, ServingEngine,
+    )
+
+    cfg = _llama()
+    model = GPTModel(cfg, seed=7)
+    cluster = VirtualCluster(1)
+    engine = ServingEngine(
+        model, config=EngineConfig(prefill_chunk=4), cluster=cluster
+    )
+    scheduler = Scheduler(
+        engine,
+        config=SchedulerConfig(
+            max_live=5, prefill_chunks_per_tick=5, decode_batch=3
+        ),
+    )
+    g = rng(31)
+    with executor(workers=workers, backend=backend):
+        for i in range(9):
+            scheduler.submit(Request(
+                rid=f"r{i}",
+                prompt=g.integers(0, cfg.vocab_size, size=int(g.integers(3, 15))),
+                max_new_tokens=int(g.integers(1, 5)),
+                priority=i % 3,
+                seed=i,
+            ))
+        scheduler.run_until_idle()
+    events, peaks = _cluster_signature(cluster)
+    cluster.check_no_leaks()
+    outputs = {rid: list(s.new_tokens) for rid, s in scheduler.completed.items()}
+    return scheduler, outputs, events, peaks
+
+
+@pytest.mark.parametrize("backend", SERVING_BACKENDS)
+def test_serving_scheduler_ticks_match_serial(backend):
+    """Whole ticks — planned prefill chunks and decode tokens in one
+    fork-join — give the serial schedule, tokens, trace stream and pool
+    peaks."""
+    serial = _run_scheduler(1, None)
+    parallel = _run_scheduler(4, backend)
+    states = serial[0].completed.values()
+    # The episode exercises what it claims to: multi-chunk prompts that
+    # take several chunks in one tick, prefill and first token in one
+    # tick, and first tokens the decode cap defers.
+    chunks = {}
+    for tick, event, rid in serial[0].log:
+        if event == "prefill":
+            chunks[tick, rid] = chunks.get((tick, rid), 0) + 1
+    assert max(chunks.values()) > 1
+    assert any(s.first_token_tick == s.prefill_done_tick for s in states)
+    assert any(s.first_token_tick > s.prefill_done_tick for s in states)
+    assert parallel[0].log == serial[0].log
+    assert parallel[1:] == serial[1:]
+
+
+@pytest.mark.parametrize("backend", SERVING_BACKENDS)
+def test_serving_loadgen_on_the_pool_matches_serial(backend):
+    """The full scheduler/load-generator path (admission, chunked
+    prefill, decode batches reshuffling over many ticks) must replay the
+    serial schedule with the same KV traffic and pool peaks.  Under the
+    process pool this once drove alloc-id ranges far enough that
+    parent-born cache allocations collided with stale per-worker
+    alloc-map keys."""
     from repro.serving.loadgen import LoadGenConfig, run_load, synthesize_requests
 
     def run(workers, backend=None):
@@ -370,6 +440,12 @@ def test_serving_loadgen_on_the_pool_matches_serial():
         return report
 
     serial = run(1)
-    pooled = run(4, "process-pool")
-    assert pooled.completed == serial.completed == 32
-    assert pooled.schedule_digest == serial.schedule_digest
+    parallel = run(4, backend)
+    assert parallel.completed == serial.completed == 32
+    assert parallel.schedule_digest == serial.schedule_digest
+    assert (parallel.h2d_bytes, parallel.d2h_bytes) == (
+        serial.h2d_bytes, serial.d2h_bytes
+    )
+    assert (parallel.peak_hbm_bytes, parallel.peak_host_bytes) == (
+        serial.peak_hbm_bytes, serial.peak_host_bytes
+    )

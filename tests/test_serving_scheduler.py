@@ -1,6 +1,8 @@
 """Continuous-batching scheduler: determinism, admission control,
 tenant quotas, priority aging, and bitwise-exact completions."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,9 @@ from repro.serving import (
     SchedulerConfig,
     ServingEngine,
 )
+from repro.runtime.executor import executor
+from repro.runtime.memory import MemoryPool
+from repro.runtime.trace import Trace
 from repro.telemetry.metrics import MetricsRegistry
 
 from .helpers import rng
@@ -42,7 +47,9 @@ def _mix(n, *, tenants=2, seed=0):
 
 
 def _run(model, requests, scheduler_config=None, registry=None):
-    engine = ServingEngine(model, config=EngineConfig(prefill_chunk=4))
+    engine = ServingEngine(
+        model, config=EngineConfig(prefill_chunk=4), registry=registry
+    )
     scheduler = Scheduler(engine, config=scheduler_config, registry=registry)
     pending = sorted(requests, key=lambda r: (r.arrival_tick, r.rid))
     i = 0
@@ -197,6 +204,19 @@ class TestSchedulerTelemetry:
         assert snap["serving_queue_depth"] == 0
         assert snap["serving_live_requests"] == 0
 
+    def test_counters_exact_under_threads(self):
+        """The serving counters move on the calling thread after each
+        tick's fork-join, so no increment is lost to a racing worker."""
+        registry = MetricsRegistry()
+        requests = _mix(24, seed=5)
+        with executor(workers=4, backend="threads"):
+            _run(_model(), requests, SchedulerConfig(max_live=8), registry)
+        snap = registry.snapshot()
+        assert snap["serving_prefill_tokens"] == sum(r.prompt_len for r in requests)
+        assert snap["serving_decode_tokens"] == sum(
+            r.max_new_tokens for r in requests
+        )
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SchedulerConfig(max_live=0)
@@ -206,3 +226,32 @@ class TestSchedulerTelemetry:
             SchedulerConfig(prefill_chunks_per_tick=0)
         with pytest.raises(ValueError):
             SchedulerConfig(aging=-0.1)
+
+
+class TestTickThreading:
+    def test_pool_and_trace_traffic_stays_on_the_calling_thread(
+        self, monkeypatch
+    ):
+        """A tick's tasks run on rank threads, but every pool alloc/free
+        and trace record — KV checkout and checkin — happens on the
+        thread that called ``tick()``, in plan order.  That is what makes
+        pool peaks independent of how the threads interleave."""
+        seen: list[tuple[str, int]] = []
+
+        def spy(cls, name):
+            original = getattr(cls, name)
+
+            def wrapper(self, *args, **kwargs):
+                seen.append((name, threading.get_ident()))
+                return original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        for cls, name in ((MemoryPool, "alloc"), (MemoryPool, "free"),
+                          (Trace, "record")):
+            spy(cls, name)
+        with executor(workers=4, backend="threads"):
+            scheduler = _run(_model(), _mix(12, seed=4), SchedulerConfig(max_live=6))
+        assert len(scheduler.completed) == 12
+        assert {name for name, _ in seen} == {"alloc", "free", "record"}
+        assert {ident for _, ident in seen} == {threading.get_ident()}
